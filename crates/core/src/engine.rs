@@ -168,8 +168,9 @@ impl TxnShared {
 }
 
 /// Prepare hook of [`Engine::execute_open_prepared`]: runs after the
-/// transaction body succeeds and before the local commit record, with the
-/// top id and the chronological compensation intent.
+/// transaction body succeeds and its abort dependencies resolved, right
+/// before the local commit record, with the top id and the chronological
+/// compensation intent.
 pub type PrepareHook<'a> = &'a mut dyn FnMut(TopId, &[Invocation]) -> Result<()>;
 
 /// Builds an [`Engine`].
@@ -602,9 +603,11 @@ impl Engine {
     }
 
     /// [`Engine::execute_open`] with a **prepare hook**: after the program
-    /// body succeeds but *before* the local commit record is written, the
-    /// callback sees the piece's `TopId` and its accumulated compensation
-    /// intent. A distributed participant durably logs its prepare record
+    /// body succeeds and any speculative abort dependency resolved, but
+    /// *before* the local commit record is written, the callback sees the
+    /// piece's `TopId` and its accumulated compensation intent. Only the
+    /// commit record's own append can fail after a successful hook. A
+    /// distributed participant durably logs its prepare record
     /// (gtid → compensation) here, guaranteeing the write-ordering
     /// invariant *prepare-record ⟶ local commit*: a crash between the two
     /// leaves a loser that generic recovery rolls back, never a committed
@@ -692,11 +695,11 @@ impl Engine {
             // undone under the locking discipline and it is *not*
             // acknowledged, upholding acked ⇒ durable.
             Ok(value) => {
-                let prepared = match prepare {
+                let prepare = || match prepare {
                     Some(hook) => hook(top, &ctx.comp),
                     None => Ok(()),
                 };
-                match prepared.and_then(|()| self.commit(top, &shared)) {
+                match self.commit(top, &shared, prepare) {
                     Ok(seq) => Ok((
                         TxnOutcome { top, value, snapshot: false, commit_seq: seq },
                         std::mem::take(&mut ctx.comp),
@@ -872,7 +875,7 @@ impl Engine {
         let result = match self.compensate_list(&shared, intents, true) {
             // An aliased commit appends nothing, so it cannot fail; an
             // unaliased one can (poisoned log) and falls to the abort arm.
-            Ok(()) => self.commit(top, &shared).map(|_| n),
+            Ok(()) => self.commit(top, &shared, || Ok(())).map(|_| n),
             Err(e) => {
                 self.abort(top, &shared, Vec::new(), &e);
                 Err(e)
@@ -898,8 +901,10 @@ impl Engine {
     /// seed (reproducible tests), decorrelated across competing
     /// transactions, and bounded for *any* `attempt` value — the exponent
     /// saturates at [`Self::MAX_BACKOFF_SHIFT`] and the product at `cap`
-    /// (default [`Self::MAX_BACKOFF`]).
-    fn backoff_duration(base: Duration, seed: u64, attempt: u32, cap: Duration) -> Duration {
+    /// (default [`Self::MAX_BACKOFF`]). The cap applies *before* the
+    /// `[0.5, 1.5)` jitter, so one sleep can reach 1.5 × `cap`. The fleet's
+    /// coordinator→shard retries use the same function.
+    pub fn backoff_duration(base: Duration, seed: u64, attempt: u32, cap: Duration) -> Duration {
         let mut rng = StdRng::seed_from_u64(seed ^ u64::from(attempt));
         let exp = 1u64 << attempt.min(Self::MAX_BACKOFF_SHIFT);
         let jitter = 0.5 + rng.random::<f64>(); // uniform in [0.5, 1.5)
@@ -920,7 +925,15 @@ impl Engine {
         ));
     }
 
-    fn commit(&self, top: TopId, shared: &Arc<TxnShared>) -> Result<u64> {
+    /// Commit `top`. `prepare` runs once nothing but the durable commit
+    /// record can fail any more: after the abort-dependency wait, right
+    /// before the append.
+    fn commit(
+        &self,
+        top: TopId,
+        shared: &Arc<TxnShared>,
+        prepare: impl FnOnce() -> Result<()>,
+    ) -> Result<u64> {
         let tree = &shared.tree;
         // Speculative grants recorded abort-dependencies: we must not become
         // durable while a subtransaction we read past is still undecided. If
@@ -942,6 +955,7 @@ impl Engine {
                 ),
             });
         }
+        prepare()?;
         // Durability point: the commit record must reach the log *before*
         // any lock is released (a crash after release but before the
         // record would let dependents of an officially-uncommitted

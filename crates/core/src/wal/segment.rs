@@ -25,12 +25,12 @@
 //! checkpoint LSN and dumping the store — making the cut exact (an effect
 //! is in the dump iff its record's LSN is below the checkpoint LSN).
 
-use super::checkpoint::{decode_checkpoint, encode_checkpoint, fold, CheckpointImage};
+use super::checkpoint::{encode_checkpoint, fold, CheckpointImage, TopInfo};
 use super::{encode_frame, read_log_from, read_log_verified, WalError, WalRecord};
 use crate::fault::{CrashPoint, FaultPlan, IoFaultPoint};
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
 use semcc_semantics::StoreDump;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -221,6 +221,9 @@ struct WriterState {
     truncated: Vec<Segment>,
     /// Latest durable checkpoint image.
     checkpoint: Option<Vec<u8>>,
+    /// That image's unresolved-transaction table, kept decoded so the next
+    /// checkpoint folds forward from it without decoding the store dump.
+    checkpoint_table: BTreeMap<u64, TopInfo>,
     /// The checkpoint image has reached the backing directory (dir-backed
     /// logs only): it is immutable once taken, so it is written once, not
     /// on every sync.
@@ -285,6 +288,7 @@ impl WalWriter {
                 segments: vec![Segment::fresh(0, 0)],
                 truncated: Vec::new(),
                 checkpoint: None,
+                checkpoint_table: BTreeMap::new(),
                 checkpoint_persisted: false,
                 next_lsn: 0,
                 next_seq: 1,
@@ -396,6 +400,7 @@ impl WalWriter {
             let mut st = w.state.lock();
             st.segments = segments;
             st.checkpoint = image.checkpoint.clone();
+            st.checkpoint_table = parsed.checkpoint.map(|cp| cp.table).unwrap_or_default();
             st.next_lsn = next_lsn;
             st.next_seq = next_seq;
         }
@@ -433,7 +438,14 @@ impl WalWriter {
     /// Whether the byte-cadence configuration says it is time for the
     /// engine to take a checkpoint.
     pub fn wants_checkpoint(&self) -> bool {
-        let Some(threshold) = self.config.checkpoint_bytes else { return false };
+        self.config.checkpoint_bytes.is_some_and(|threshold| self.checkpoint_due(threshold))
+    }
+
+    /// The cadence test of [`WalWriter::wants_checkpoint`] for an explicit
+    /// `threshold`: at least that many bytes were appended since the last
+    /// checkpoint, and the log is alive and unpoisoned. For owners that
+    /// schedule their checkpoints themselves.
+    pub fn checkpoint_due(&self, threshold: usize) -> bool {
         let st = self.state.lock();
         !st.dead && st.poisoned.is_none() && st.bytes_since_checkpoint >= threshold
     }
@@ -732,10 +744,8 @@ impl WalWriter {
         // checkpoint over every retained record. A frame that fails
         // validation here is committed history we are about to drop —
         // refuse the checkpoint and quarantine instead.
-        let mut table = match &st.checkpoint {
-            Some(bytes) => decode_checkpoint(bytes)?.table,
-            None => BTreeMap::new(),
-        };
+        let mut table = st.checkpoint_table.clone();
+        let mut resolved: HashSet<u64> = HashSet::new();
         for seg in &st.segments {
             let mut all = seg.durable.clone();
             all.extend_from_slice(&seg.buffer);
@@ -750,11 +760,23 @@ impl WalWriter {
                 });
             }
             for (i, rec) in out.records.iter().enumerate() {
+                // A transaction leaves the table as soon as it resolves
+                // (its flags never unset, so the unresolved-only image
+                // would drop it anyway): the table holds the transactions
+                // in flight, not every one in the retained window.
+                let top = rec.top();
+                if resolved.contains(&top) {
+                    continue;
+                }
                 fold(&mut table, seg.base_lsn + i as u64, rec);
+                if table.get(&top).is_some_and(|info| !info.unresolved()) {
+                    table.remove(&top);
+                    resolved.insert(top);
+                }
             }
         }
-        table.retain(|_, info| info.unresolved());
-        let image = encode_checkpoint(&CheckpointImage { cp_lsn, dump, table });
+        let image = CheckpointImage { cp_lsn, dump, table };
+        let encoded = encode_checkpoint(&image);
         // Writing the image durably is itself a sync of the device: the
         // injected pre-fsync crash and fsync fault both apply.
         st.fsyncs += 1;
@@ -782,7 +804,8 @@ impl WalWriter {
                 return Err(err);
             }
         }
-        st.checkpoint = Some(image);
+        st.checkpoint = Some(encoded);
+        st.checkpoint_table = image.table;
         st.checkpoint_persisted = false;
         // The checkpoint declares the log durable up to cp_lsn: flush.
         for seg in &mut st.segments {

@@ -20,6 +20,7 @@
 //! on a shard that crashed before the decision reached it — resolve
 //! deterministically against this log during shard recovery.
 
+use crate::dispatch::Helpers;
 use crate::partition::PartitionMap;
 use crate::rpc::{FleetFaults, RetryPolicy, RpcError, ShardLink};
 use crate::shard::{DecisionGate, PieceAck, ShardConfig, ShardNode, ShardRecoveryReport};
@@ -30,6 +31,7 @@ use semcc_core::{
 };
 use semcc_orderentry::{Database, DbParams, TxnSpec};
 use semcc_semantics::Value;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -108,13 +110,19 @@ pub struct Coordinator {
     decision_log: Arc<WalWriter>,
     /// In-memory mirror of the decision log (gtid → commit). Volatile:
     /// a coordinator crash clears it; recovery reparses the log.
-    decisions: Mutex<BTreeMap<u64, bool>>,
+    decisions: Mutex<Decisions>,
     next_gtid: AtomicU64,
     stats: Arc<Stats>,
     journal: Option<Arc<EventJournal>>,
     down: AtomicBool,
     /// Gtids whose commit was acknowledged to the client, in ack order.
     acked: Mutex<Vec<u64>>,
+    /// Parked threads that run cross-shard pieces beside the submitter.
+    helpers: Helpers,
+    /// The one thread that runs shard checkpoints, one at a time (see
+    /// [`Coordinator::maybe_checkpoint`]); `checkpointing` marks it busy.
+    checkpointer: Helpers,
+    checkpointing: AtomicBool,
 }
 
 impl Coordinator {
@@ -144,13 +152,16 @@ impl Coordinator {
             shards,
             faults,
             decision_log: WalWriter::new(FsyncPolicy::EveryAppend),
-            decisions: Mutex::new(BTreeMap::new()),
+            decisions: Mutex::new(Decisions::default()),
             next_gtid: AtomicU64::new(1),
             stats: Arc::new(Stats::default()),
             journal: (cfg.journal_capacity > 0)
                 .then(|| Arc::new(EventJournal::new(cfg.journal_capacity))),
             down: AtomicBool::new(false),
             acked: Mutex::new(Vec::new()),
+            helpers: Helpers::default(),
+            checkpointer: Helpers::default(),
+            checkpointing: AtomicBool::new(false),
             cfg,
         }
     }
@@ -177,12 +188,12 @@ impl Coordinator {
 
     /// Gtids with a durably logged **commit** decision, ascending.
     pub fn committed_gtids(&self) -> Vec<u64> {
-        self.decisions.lock().iter().filter(|(_, c)| **c).map(|(g, _)| *g).collect()
+        self.decisions.lock().iter().filter(|(_, c)| *c).map(|(g, _)| g).collect()
     }
 
     /// Snapshot of the decision map (shard recovery resolves against it).
     pub fn decisions(&self) -> BTreeMap<u64, bool> {
-        self.decisions.lock().clone()
+        self.decisions.lock().iter().collect()
     }
 
     /// The coordinator's dist-event journal, if enabled.
@@ -204,14 +215,12 @@ impl Coordinator {
             faults: &self.faults,
             policy: self.cfg.retry,
             stats: &self.stats,
-            seed: self.cfg.seed ^ gtid.wrapping_mul(0x9e37_79b9) ^ shard as u64,
+            seed: link_seed(self.cfg.seed, gtid, shard),
         }
     }
 
     fn net_pause(&self) {
-        if !self.cfg.net_delay.is_zero() {
-            std::thread::sleep(self.cfg.net_delay);
-        }
+        pause(self.cfg.net_delay);
     }
 
     fn journal_record(&self, kind: JournalKind, gtid: u64, aux: u64) {
@@ -252,78 +261,88 @@ impl Coordinator {
             Stats::bump(&self.stats.cross_shard_txns);
         }
         let result = match protocol {
-            CommitProtocol::OpenNested => self.commit_open_nested(gtid, &pieces),
-            CommitProtocol::TwoPhase => self.commit_two_phase(gtid, &pieces),
+            CommitProtocol::OpenNested => self.commit_open_nested(gtid, pieces),
+            CommitProtocol::TwoPhase => self.commit_two_phase(gtid, pieces),
         };
+        self.maybe_checkpoint();
         (gtid, result)
     }
 
-    /// Dispatch one piece to its shard, re-running it locally after
-    /// retryable engine aborts (deadlock, lock timeout).
-    fn drive_piece(
+    /// Checkpoint the logs of every shard whose byte cadence came due.
+    /// The checkpoints run on one reused thread, one at a time fleet-wide,
+    /// and the submitter waits for them; a submitter that finds one
+    /// running leaves the rest to a later transaction. One thread matters
+    /// for memory: a main-WAL checkpoint's transient allocations (the
+    /// store dump, the intent-table fold, the encoded image) stay in the
+    /// allocating thread's malloc arena, so checkpoints spread over the
+    /// piece threads would each keep their own copy resident.
+    fn maybe_checkpoint(&self) {
+        // `checkpointing` is a try-lock around the checkpointer: taken with
+        // Acquire here, released with Release below.
+        if !self.shards.iter().any(|s| s.checkpoint_due())
+            || self.checkpointing.swap(true, Ordering::Acquire)
+        {
+            return;
+        }
+        let shards = self.shards.clone();
+        self.checkpointer.run(
+            vec![move || {
+                for shard in &shards {
+                    // A crashed shard refuses; it recovers from its logs
+                    // as they are. A failed checkpoint leaves the log
+                    // poisoned, which its next append reports.
+                    let _ = shard.checkpoint_if_due();
+                }
+            }],
+            || (),
+        );
+        self.checkpointing.store(false, Ordering::Release);
+    }
+
+    /// An owned job running one open-nested piece: the pause for the
+    /// dispatch message, then the piece through the retry seam. Owned so
+    /// that a helper thread can run it.
+    fn open_piece(
         &self,
         gtid: u64,
-        shard_idx: usize,
-        piece: &TxnSpec,
-    ) -> Result<PieceAck, RpcError> {
-        let shard = &self.shards[shard_idx];
-        let link = self.link(gtid, shard_idx);
-        let mut attempt = 0u32;
-        loop {
-            match link.call(|| shard.run_piece(gtid, piece)) {
-                Err(e) if e.is_retryable_app() && attempt < self.cfg.max_piece_retries => {
-                    attempt += 1;
+        idx: usize,
+        piece: TxnSpec,
+    ) -> impl FnOnce() -> (usize, Result<PieceAck, RpcError>) + Send + 'static {
+        let shard = Arc::clone(&self.shards[idx]);
+        let faults = Arc::clone(&self.faults);
+        let stats = Arc::clone(&self.stats);
+        let (policy, seed) = (self.cfg.retry, link_seed(self.cfg.seed, gtid, idx));
+        let (delay, max_retries) = (self.cfg.net_delay, self.cfg.max_piece_retries);
+        move || {
+            pause(delay);
+            let link = ShardLink { faults: &faults, policy, stats: &stats, seed };
+            // Re-run the piece after retryable engine aborts (deadlock,
+            // lock timeout).
+            let mut attempt = 0u32;
+            let out = loop {
+                match link.call(|| shard.run_piece(gtid, &piece)) {
+                    Err(e) if e.is_retryable_app() && attempt < max_retries => attempt += 1,
+                    other => break other,
                 }
-                other => return other,
-            }
+            };
+            (idx, out)
         }
     }
 
     fn commit_open_nested(
         &self,
         gtid: u64,
-        pieces: &[(usize, TxnSpec)],
+        pieces: Vec<(usize, TxnSpec)>,
     ) -> Result<Value, RpcError> {
-        // Pieces live on distinct shards and commit independently — fire
-        // them concurrently, exactly like the 2PC dispatch, so both
-        // protocols pay the same message latency and the comparison
-        // isolates the lock-hold window.
-        let outcomes: Vec<(usize, Result<PieceAck, RpcError>)> = if pieces.len() == 1 {
-            let (shard_idx, piece) = &pieces[0];
-            self.net_pause();
-            vec![(*shard_idx, self.drive_piece(gtid, *shard_idx, piece))]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = pieces
-                    .iter()
-                    .map(|(shard_idx, piece)| {
-                        let idx = *shard_idx;
-                        scope.spawn(move || {
-                            self.net_pause();
-                            (idx, self.drive_piece(gtid, idx, piece))
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("piece thread")).collect()
-            })
-        };
-        let mut acks: Vec<(usize, PieceAck)> = Vec::with_capacity(pieces.len());
-        let mut failure: Option<RpcError> = None;
-        for (idx, out) in outcomes {
-            match out {
-                Ok(ack) => acks.push((idx, ack)),
-                Err(e) => {
-                    // Prefer the retryable root cause over secondary
-                    // errors, as in the 2PC join loop.
-                    if failure
-                        .as_ref()
-                        .is_none_or(|f| !f.is_retryable_app() && e.is_retryable_app())
-                    {
-                        failure = Some(e);
-                    }
-                }
-            }
-        }
+        // Pieces live on distinct shards and commit independently: the
+        // last runs on the calling thread, the others on parked helpers —
+        // concurrently, exactly like the 2PC dispatch, so both protocols
+        // pay the same message latency and the comparison isolates the
+        // lock-hold window.
+        let mut jobs: Vec<_> =
+            pieces.into_iter().map(|(idx, piece)| self.open_piece(gtid, idx, piece)).collect();
+        let here = jobs.pop().expect("a transaction has at least one piece");
+        let (acks, failure) = gather(self.helpers.run(jobs, here));
         if let Some(e) = failure {
             // Global abort. Compensate the pieces already committed; a
             // shard that is unreachable resolves at its own recovery
@@ -351,7 +370,11 @@ impl Coordinator {
         Ok(combine_values(acks))
     }
 
-    fn commit_two_phase(&self, gtid: u64, pieces: &[(usize, TxnSpec)]) -> Result<Value, RpcError> {
+    fn commit_two_phase(
+        &self,
+        gtid: u64,
+        mut pieces: Vec<(usize, TxnSpec)>,
+    ) -> Result<Value, RpcError> {
         // One-phase optimization: a single-shard transaction needs no
         // prepare round — every real 2PC system short-circuits it, and
         // charging the baseline for a round trip it would not make would
@@ -359,30 +382,31 @@ impl Coordinator {
         if pieces.len() == 1 {
             return self.commit_open_nested(gtid, pieces);
         }
-        let gate = DecisionGate::default();
-        let decided = std::thread::scope(|scope| {
-            let handles: Vec<_> = pieces
-                .iter()
-                .map(|(shard_idx, piece)| {
-                    let shard = Arc::clone(&self.shards[*shard_idx]);
-                    let gate = &gate;
-                    let idx = *shard_idx;
-                    let pause = self.cfg.net_delay;
-                    scope.spawn(move || {
-                        if !pause.is_zero() {
-                            std::thread::sleep(pause);
-                        }
-                        let out = shard.run_piece_2pc(gtid, piece, gate);
-                        if out.is_err() {
-                            gate.fail();
-                        }
-                        (idx, out)
-                    })
-                })
-                .collect();
-            let all_ready = gate.wait_votes(pieces.len());
-            // Decision delivery: the participants sit on their locks for
-            // this entire round trip.
+        let gate = Arc::new(DecisionGate::default());
+        let (here_idx, here_piece) = pieces.pop().expect("a cross-shard transaction");
+        let others = pieces.len();
+        let jobs: Vec<_> = pieces
+            .into_iter()
+            .map(|(idx, piece)| {
+                let shard = Arc::clone(&self.shards[idx]);
+                let gate = Arc::clone(&gate);
+                let delay = self.cfg.net_delay;
+                move || {
+                    let _abandon = gate.abandon_on_unwind();
+                    pause(delay);
+                    let out = shard.run_piece_2pc(gtid, &piece, &mut || gate.vote_and_wait());
+                    if out.is_err() {
+                        gate.fail();
+                    }
+                    (idx, out)
+                }
+            })
+            .collect();
+        // The coordinator's decision: once every other participant voted
+        // ready (or one failed), deliver the decision. The participants
+        // sit on their locks for this entire round trip.
+        let decide = || {
+            let all_ready = gate.wait_votes(others);
             self.net_pause();
             let commit = if all_ready {
                 // Presumed abort: the commit decision is durable before
@@ -393,37 +417,37 @@ impl Coordinator {
                 false
             };
             gate.decide(commit);
-            let mut acks = Vec::new();
-            let mut failure: Option<RpcError> = None;
-            for h in handles {
-                match h.join().expect("piece thread") {
-                    (idx, Ok(ack)) => acks.push((idx, ack)),
-                    (_, Err(e)) => {
-                        // Prefer the *root cause* over the secondary
-                        // "global abort" errors of sibling pieces: a
-                        // contention victim (deadlock / lock timeout) is
-                        // retryable, the abort it triggered is not.
-                        if failure
-                            .as_ref()
-                            .is_none_or(|f| !f.is_retryable_app() && e.is_retryable_app())
-                        {
-                            failure = Some(e);
-                        }
-                    }
-                }
+            commit
+        };
+        // The submitting thread runs the last piece, and its vote *is* the
+        // decision; a piece that fails before voting decides afterwards.
+        let decided: Cell<Option<bool>> = Cell::new(None);
+        let outcomes = self.helpers.run(jobs, || {
+            let _abandon = gate.abandon_on_unwind();
+            self.net_pause();
+            let out = self.shards[here_idx].run_piece_2pc(gtid, &here_piece, &mut || {
+                let commit = decide();
+                decided.set(Some(commit));
+                commit
+            });
+            if decided.get().is_none() {
+                gate.fail();
+                decided.set(Some(decide()));
             }
-            match (commit, failure) {
-                (true, None) => Ok(acks),
-                (_, Some(e)) => Err(e),
-                (false, None) => Err(RpcError::App(semcc_semantics::SemccError::Aborted(
-                    "2pc vote failed".into(),
-                ))),
-            }
+            (here_idx, out)
         });
-        decided.map(|acks| {
-            self.acked.lock().push(gtid);
-            combine_values(acks)
-        })
+        let commit = decided.get() == Some(true);
+        let (acks, failure) = gather(outcomes);
+        match (commit, failure) {
+            (true, None) => {
+                self.acked.lock().push(gtid);
+                Ok(combine_values(acks))
+            }
+            (_, Some(e)) => Err(e),
+            (false, None) => {
+                Err(RpcError::App(semcc_semantics::SemccError::Aborted("2pc vote failed".into())))
+            }
+        }
     }
 
     /// Submit with transparent whole-transaction retries on contention
@@ -460,7 +484,7 @@ impl Coordinator {
         if self.down.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.decisions.lock().clear();
+        *self.decisions.lock() = Decisions::default();
     }
 
     /// Recover the coordinator from its decision log and re-drive every
@@ -469,24 +493,21 @@ impl Coordinator {
     pub fn recover(&self) -> Result<usize, String> {
         let image = self.decision_log.surviving_image();
         let parsed = read_image(&image).map_err(|e| format!("decision log parse: {e}"))?;
-        let mut rebuilt: BTreeMap<u64, bool> = BTreeMap::new();
+        let mut rebuilt = Decisions::default();
         for rec in &parsed.records {
             match rec {
-                WalRecord::TopCommit { top } => {
-                    rebuilt.insert(*top, true);
-                }
-                WalRecord::TopAbort { top } => {
-                    rebuilt.insert(*top, false);
-                }
+                WalRecord::TopCommit { top } => rebuilt.insert(*top, true),
+                WalRecord::TopAbort { top } => rebuilt.insert(*top, false),
                 _ => {}
             }
         }
-        *self.decisions.lock() = rebuilt.clone();
+        let redrive: Vec<(u64, bool)> = rebuilt.iter().collect();
+        *self.decisions.lock() = rebuilt;
         self.down.store(false, Ordering::Release);
         let mut redriven = 0;
-        for (gtid, commit) in &rebuilt {
+        for (gtid, commit) in redrive {
             for shard in &self.shards {
-                if !shard.is_dead() && shard.resolve(*gtid, *commit).is_ok() {
+                if !shard.is_dead() && shard.resolve(gtid, commit).is_ok() {
                     redriven += 1;
                 }
             }
@@ -499,6 +520,62 @@ impl Coordinator {
         let decisions = self.decisions();
         self.shards[idx].recover(&decisions)
     }
+}
+
+/// The decision map, dense by gtid: gtids are allocated consecutively
+/// from 1, so one byte per gtid replaces a map node per decision — the
+/// map is retained for the fleet's lifetime.
+#[derive(Default)]
+struct Decisions(Vec<Option<bool>>);
+
+impl Decisions {
+    fn insert(&mut self, gtid: u64, commit: bool) {
+        let i = gtid as usize;
+        if self.0.len() <= i {
+            self.0.resize(i + 1, None);
+        }
+        self.0[i] = Some(commit);
+    }
+
+    /// `(gtid, commit)` of every decision, gtid-ascending.
+    fn iter(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
+        self.0.iter().enumerate().filter_map(|(g, d)| d.map(|commit| (g as u64, commit)))
+    }
+}
+
+/// The backoff seed of one coordinator→shard link: decorrelates the
+/// retries of concurrent pieces and transactions.
+fn link_seed(seed: u64, gtid: u64, shard: usize) -> u64 {
+    seed ^ gtid.wrapping_mul(0x9e37_79b9) ^ shard as u64
+}
+
+/// Simulated one-way message latency.
+fn pause(delay: Duration) {
+    if !delay.is_zero() {
+        std::thread::sleep(delay);
+    }
+}
+
+/// Split piece outcomes into the acks and the failure to report. The
+/// *root cause* wins over the secondary "global abort" errors of sibling
+/// pieces: a contention victim (deadlock / lock timeout) is retryable,
+/// the abort it triggered is not.
+fn gather(
+    outcomes: Vec<(usize, Result<PieceAck, RpcError>)>,
+) -> (Vec<(usize, PieceAck)>, Option<RpcError>) {
+    let mut acks = Vec::with_capacity(outcomes.len());
+    let mut failure: Option<RpcError> = None;
+    for (idx, out) in outcomes {
+        match out {
+            Ok(ack) => acks.push((idx, ack)),
+            Err(e) => {
+                if failure.as_ref().is_none_or(|f| !f.is_retryable_app() && e.is_retryable_app()) {
+                    failure = Some(e);
+                }
+            }
+        }
+    }
+    (acks, failure)
 }
 
 fn combine_values(mut acks: Vec<(usize, PieceAck)>) -> Value {

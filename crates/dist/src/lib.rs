@@ -14,6 +14,8 @@
 //!
 //! - every shard runs its own WAL + recovery (the PR-5/7 machinery,
 //!   unchanged) plus a separate **participant log** of prepared pieces;
+//!   both logs are checkpointed at a fixed byte cadence, so the fleet's
+//!   shard logs stay bounded;
 //! - the coordinator durably logs commit decisions before any shard or
 //!   client learns them, so in-doubt pieces on a crashed shard resolve
 //!   deterministically at recovery (commit ⇒ keep, absence ⇒ presumed
@@ -22,9 +24,13 @@
 //!   backoff seam ([`rpc::ShardLink`]) with injectable faults
 //!   ([`semcc_core::ShardFaultPoint`]): dropped/delayed/failed requests,
 //!   shard crashes before prepare or after decision, and coordinator
-//!   crashes mid-commit.
+//!   crashes mid-commit;
+//! - a cross-shard transaction's pieces run concurrently, one on the
+//!   submitting thread and the rest on parked helper threads that the
+//!   coordinator reuses.
 
 pub mod coordinator;
+mod dispatch;
 pub mod partition;
 pub mod rpc;
 pub mod shard;

@@ -28,6 +28,20 @@
 //! a *commit* decision can never meet a lost piece; the recovery path
 //! treats that as a hard invariant violation.
 //!
+//! ## Log retirement
+//!
+//! Both logs are checkpointed at a fixed byte cadence (the coordinator
+//! runs the due ones; [`ShardNode::checkpoint`] forces them). A
+//! participant checkpoint carries every unresolved entry's compensation
+//! intent forward in its table, and a main-WAL checkpoint may retire a
+//! piece's local commit record, so recovery cannot look for that record.
+//! It decides the other way round: a piece survived unless its local
+//! transaction is a recovery loser or aborted in the retained log. That
+//! is sound because no prepared piece ends in a local abort while its
+//! participant entry is unresolved — the engine runs the prepare hook
+//! right before the commit record, and the 2PC abort path closes the
+//! entry before it fails the hook.
+//!
 //! ## 2PC baseline
 //!
 //! The same prepare hook implements classic presumed-abort 2PC by
@@ -43,14 +57,24 @@ use parking_lot::{Condvar, Mutex};
 use semcc_baselines::FlatObject2pl;
 use semcc_core::{
     read_image, recover_image, Engine, EventJournal, FsyncPolicy, JournalKind, ProtocolConfig,
-    Stats, StatsSnapshot, WalConfig, WalRecord, WalWriter,
+    Stats, StatsSnapshot, TopId, WalConfig, WalError, WalRecord, WalWriter,
 };
 use semcc_orderentry::{Database, DbParams, TxnSpec};
-use semcc_semantics::{Invocation, SemccError, Storage, Value};
+use semcc_semantics::{Invocation, SemccError, Storage, StoreDump, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The main WAL is due for a checkpoint after this many appended bytes —
+/// the cadence the durable service benchmark uses. Its checkpoint dumps
+/// the whole store, so the cost is per checkpoint, not per byte.
+const MAIN_CHECKPOINT_BYTES: usize = 8 << 20;
+
+/// The participant log is due after this many bytes. Its checkpoint has
+/// an empty store dump and only folds the retained records, so a tight
+/// cadence costs nothing extra and keeps the log small.
+const PARTICIPANT_CHECKPOINT_BYTES: usize = 1 << 20;
 
 /// Per-shard construction parameters.
 #[derive(Clone)]
@@ -159,6 +183,31 @@ impl DecisionGate {
         st.decision = Some(commit);
         self.cv.notify_all();
     }
+
+    /// A participant or the coordinator unwound mid-protocol: fail the
+    /// vote and, if nothing was decided yet, release every participant
+    /// with abort (what presumed abort decides anyway), so no thread waits
+    /// for a vote or a decision that cannot come.
+    pub fn abandon(&self) {
+        let mut st = self.state.lock();
+        st.failed = true;
+        st.decision.get_or_insert(false);
+        self.cv.notify_all();
+    }
+
+    /// A guard that [abandons](DecisionGate::abandon) the gate if it is
+    /// dropped while its thread panics.
+    pub fn abandon_on_unwind(&self) -> impl Drop + '_ {
+        struct Guard<'a>(&'a DecisionGate);
+        impl Drop for Guard<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.abandon();
+                }
+            }
+        }
+        Guard(self)
+    }
 }
 
 /// One shard node.
@@ -180,7 +229,7 @@ pub struct ShardNode {
 impl ShardNode {
     /// Boot a fresh shard.
     pub fn new(cfg: ShardConfig, faults: Arc<FleetFaults>) -> Arc<ShardNode> {
-        let inner = Self::boot(&cfg, None);
+        let inner = Self::boot(&cfg);
         Arc::new(ShardNode {
             journal: (cfg.journal_capacity > 0)
                 .then(|| Arc::new(EventJournal::new(cfg.journal_capacity))),
@@ -194,9 +243,9 @@ impl ShardNode {
         })
     }
 
-    fn boot(cfg: &ShardConfig, wal: Option<Arc<WalWriter>>) -> ShardInner {
+    fn boot(cfg: &ShardConfig) -> ShardInner {
         let db = Database::build(&cfg.db_params).expect("shard database build");
-        let wal = wal.unwrap_or_else(|| WalWriter::new(FsyncPolicy::OnCommit));
+        let wal = WalWriter::new(FsyncPolicy::OnCommit);
         let mut builder =
             Engine::builder(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(&db.catalog))
                 .protocol(cfg.protocol)
@@ -249,6 +298,34 @@ impl ShardNode {
         }
     }
 
+    /// The prepare hook's durable half: the participant record that
+    /// carries the piece's compensation intent, appended before the local
+    /// commit record.
+    fn log_prepare(
+        &self,
+        part_log: &WalWriter,
+        gtid: u64,
+        top: TopId,
+        comp: &[Invocation],
+    ) -> Result<(), SemccError> {
+        part_log
+            .append(&WalRecord::SubCommit { top: gtid, subtree: top.0 as u32, comp: comp.to_vec() })
+            .map_err(|e| SemccError::Durability(format!("participant log: {e}")))?;
+        Stats::bump(&self.stats.prepares);
+        self.journal_record(JournalKind::ShardPrepare, gtid, self.cfg.idx as u64);
+        Ok(())
+    }
+
+    /// Close the participant entry of `gtid` with its resolution marker.
+    fn resolve_entry(&self, part_log: &WalWriter, gtid: u64, commit: bool) -> Result<(), WalError> {
+        let rec = if commit {
+            WalRecord::TopCommit { top: gtid }
+        } else {
+            WalRecord::TopAbort { top: gtid }
+        };
+        part_log.append(&rec).map(drop)
+    }
+
     /// Execute one piece of global transaction `gtid` under the semantic
     /// open-nested protocol: the piece commits early; its compensation
     /// intent is held (durably, in the participant log) for a possible
@@ -270,16 +347,7 @@ impl ShardNode {
             (Arc::clone(&i.engine), Arc::clone(&i.wal), Arc::clone(&i.part_log))
         };
         let (_top, result) = engine.execute_open_prepared(spec, &mut |top, comp| {
-            part_log
-                .append(&WalRecord::SubCommit {
-                    top: gtid,
-                    subtree: top.0 as u32,
-                    comp: comp.to_vec(),
-                })
-                .map_err(|e| SemccError::Durability(format!("participant log: {e}")))?;
-            Stats::bump(&self.stats.prepares);
-            self.journal_record(JournalKind::ShardPrepare, gtid, self.cfg.idx as u64);
-            Ok(())
+            self.log_prepare(&part_log, gtid, top, comp)
         });
         match result {
             Ok((outcome, comp)) => {
@@ -297,13 +365,16 @@ impl ShardNode {
         }
     }
 
-    /// Execute one piece under presumed-abort 2PC: vote at `gate` after
-    /// the body succeeds, then hold every lock until the decision.
+    /// Execute one piece under presumed-abort 2PC: once the body has
+    /// succeeded and the participant record is durable, `vote` registers
+    /// the ready vote and returns the global decision; every lock is held
+    /// until it returns. A piece that never prepares (a read-only snapshot
+    /// read) votes after it finishes.
     pub fn run_piece_2pc(
         &self,
         gtid: u64,
         spec: &TxnSpec,
-        gate: &DecisionGate,
+        vote: &mut dyn FnMut() -> bool,
     ) -> Result<PieceAck, RpcError> {
         if self.is_dead() {
             return Err(RpcError::ShardDown);
@@ -314,22 +385,21 @@ impl ShardNode {
             (Arc::clone(&i.engine), Arc::clone(&i.part_log))
         };
         let voted = std::cell::Cell::new(false);
+        let resolved = std::cell::Cell::new(false);
         let (_top, result) = engine.execute_open_prepared(spec, &mut |top, comp| {
-            part_log
-                .append(&WalRecord::SubCommit {
-                    top: gtid,
-                    subtree: top.0 as u32,
-                    comp: comp.to_vec(),
-                })
-                .map_err(|e| SemccError::Durability(format!("participant log: {e}")))?;
-            Stats::bump(&self.stats.prepares);
-            self.journal_record(JournalKind::ShardPrepare, gtid, self.cfg.idx as u64);
+            self.log_prepare(&part_log, gtid, top, comp)?;
             voted.set(true);
-            if gate.vote_and_wait() {
-                Ok(())
-            } else {
-                Err(SemccError::Aborted("2pc global abort".into()))
+            if vote() {
+                return Ok(());
             }
+            // Resolve the participant entry *before* the local abort: a
+            // prepared piece must never end in a local abort while its
+            // entry is unresolved, or a checkpoint that retires the local
+            // abort record would leave recovery believing it survived.
+            resolved.set(true);
+            self.resolve_entry(&part_log, gtid, false)
+                .map_err(|e| SemccError::Durability(format!("participant log: {e}")))?;
+            Err(SemccError::Aborted("2pc global abort".into()))
         });
         match result {
             Ok((outcome, _comp)) => {
@@ -339,16 +409,18 @@ impl ShardNode {
                 // can reach a decision. The decision itself is irrelevant
                 // to it — there is nothing to undo.
                 if !voted.get() {
-                    let _ = gate.vote_and_wait();
+                    let _ = vote();
                 }
                 // The global decision was commit and the piece is locally
                 // resolved; nothing stays in doubt.
                 let ack = PieceAck { local_top: outcome.top.0, value: outcome.value };
-                let _ = part_log.append(&WalRecord::TopCommit { top: gtid });
+                let _ = self.resolve_entry(&part_log, gtid, true);
                 Ok(ack)
             }
             Err(e) => {
-                let _ = part_log.append(&WalRecord::TopAbort { top: gtid });
+                if !resolved.get() {
+                    let _ = self.resolve_entry(&part_log, gtid, false);
+                }
                 Err(RpcError::App(e))
             }
         }
@@ -373,15 +445,65 @@ impl ShardNode {
             let Some(i) = inner.as_ref() else { return Err(RpcError::ShardDown) };
             (Arc::clone(&i.engine), Arc::clone(&i.part_log))
         };
-        if commit {
-            part_log
-                .append(&WalRecord::TopCommit { top: gtid })
-                .map_err(|_| RpcError::ShardDown)?;
-        } else {
+        if !commit {
             engine.compensate_transaction(piece.comp).map_err(RpcError::App)?;
-            part_log.append(&WalRecord::TopAbort { top: gtid }).map_err(|_| RpcError::ShardDown)?;
+        }
+        self.resolve_entry(&part_log, gtid, commit).map_err(|_| RpcError::ShardDown)
+    }
+
+    /// Checkpoint both logs now, retiring every sealed segment: the main
+    /// WAL with a store dump, the participant log with an empty one (its
+    /// image carries every unresolved entry's compensation intent forward
+    /// in its table).
+    pub fn checkpoint(&self) -> Result<(), RpcError> {
+        self.checkpoint_logs(true, true)
+    }
+
+    /// Which logs grew past their checkpoint cadence: (main,
+    /// participant). `None` while crashed.
+    fn due(&self) -> Option<(bool, bool)> {
+        let inner = self.inner.lock();
+        inner.as_ref().map(|i| {
+            (
+                i.wal.checkpoint_due(MAIN_CHECKPOINT_BYTES),
+                i.part_log.checkpoint_due(PARTICIPANT_CHECKPOINT_BYTES),
+            )
+        })
+    }
+
+    /// Whether either log grew past its checkpoint cadence.
+    pub(crate) fn checkpoint_due(&self) -> bool {
+        self.due().is_some_and(|(main, participant)| main || participant)
+    }
+
+    /// Checkpoint each log that grew past its cadence.
+    pub(crate) fn checkpoint_if_due(&self) -> Result<(), RpcError> {
+        let (main, participant) = self.due().ok_or(RpcError::ShardDown)?;
+        self.checkpoint_logs(main, participant)
+    }
+
+    fn checkpoint_logs(&self, main: bool, participant: bool) -> Result<(), RpcError> {
+        let (engine, part_log) = {
+            let inner = self.inner.lock();
+            let Some(i) = inner.as_ref() else { return Err(RpcError::ShardDown) };
+            (Arc::clone(&i.engine), Arc::clone(&i.part_log))
+        };
+        if main {
+            engine.checkpoint().map_err(RpcError::App)?;
+        }
+        if participant {
+            part_log
+                .checkpoint(|| Some(StoreDump::default()))
+                .map_err(|e| RpcError::App(SemccError::Durability(e.to_string())))?;
         }
         Ok(())
+    }
+
+    /// Bytes both logs retain now (segments plus checkpoint images; main
+    /// plus participant). `None` while crashed.
+    pub fn retained_bytes(&self) -> Option<usize> {
+        let inner = self.inner.lock();
+        inner.as_ref().map(|i| i.wal.retained_bytes() + i.part_log.retained_bytes())
     }
 
     /// Kill the shard: both logs lose their unsynced tails, volatile
@@ -445,20 +567,42 @@ impl ShardNode {
         let mut report =
             ShardRecoveryReport { winners: rr.winners, losers: rr.losers, ..Default::default() };
 
-        // Which local transactions survived as winners?
-        let winners: HashSet<u64> = read_image(&main_image)
-            .map_err(|e| format!("main log parse: {e}"))?
-            .records
-            .iter()
-            .filter_map(|r| match r {
-                WalRecord::TopCommit { top } => Some(*top),
-                _ => None,
-            })
-            .collect();
+        // Which local transactions did *not* survive? A checkpoint may
+        // have retired a piece's local commit record, so survival cannot
+        // be read off the retained `TopCommit`s. A local transaction that
+        // the retained log leaves unresolved (a loser: it is in the
+        // checkpoint's table or has records, but no resolution) or
+        // aborted did not survive; every other one committed — a
+        // transaction that resolved before the checkpoint committed,
+        // because no prepared piece ends in a local abort while its
+        // participant entry is unresolved (the 2PC abort path closes the
+        // entry first).
+        let main = read_image(&main_image).map_err(|e| format!("main log parse: {e}"))?;
+        let mut lost: HashSet<u64> =
+            main.checkpoint.iter().flat_map(|cp| cp.table.keys().copied()).collect();
+        for rec in &main.records {
+            match rec {
+                WalRecord::TopCommit { top } => {
+                    lost.remove(top);
+                }
+                WalRecord::RecoveryMark { .. } => {}
+                other => {
+                    lost.insert(other.top());
+                }
+            }
+        }
 
-        // Fold the participant log: prepared pieces and their resolutions.
+        // Fold the participant log: prepared pieces and their resolutions,
+        // starting from the entries its checkpoint carried forward.
         let parsed = read_image(&part_image).map_err(|e| format!("participant log parse: {e}"))?;
         let mut prepared: BTreeMap<u64, (u64, Vec<Invocation>)> = BTreeMap::new();
+        for (gtid, entry) in parsed.checkpoint.iter().flat_map(|cp| &cp.table) {
+            // A gtid prepares at most once per shard: one subtree, the
+            // piece's local top.
+            if let Some(local_top) = entry.committed_subtrees.last() {
+                prepared.insert(*gtid, (u64::from(*local_top), entry.intents.clone()));
+            }
+        }
         let mut resolved: HashSet<u64> = HashSet::new();
         for rec in &parsed.records {
             match rec {
@@ -482,7 +626,7 @@ impl ShardNode {
             }
             report.in_doubt += 1;
             let commit = decisions.get(&gtid).copied().unwrap_or(false);
-            let survived = winners.contains(&local_top);
+            let survived = !lost.contains(&local_top);
             if commit {
                 // A commit decision implies the coordinator saw our ack,
                 // and an ack implies the local commit was durable.

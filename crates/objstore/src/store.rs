@@ -271,13 +271,14 @@ impl MemoryStore {
     }
 
     /// Stamp-consistent dump of every live object, id-ascending — the
-    /// payload of a fuzzy checkpoint. Built on [`MemoryStore::snapshot`]
-    /// so the capture is atomic against concurrent writers.
+    /// payload of a fuzzy checkpoint. Every shard's read latch is held for
+    /// the whole capture, so it is atomic against concurrent writers
+    /// without first copying the store.
     pub fn dump(&self) -> StoreDump {
-        let snap = self.snapshot();
-        let mut objects: Vec<ObjectDump> = Vec::with_capacity(snap.object_count());
-        for shard in &snap.shards {
-            for (id, obj) in shard.read().iter() {
+        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
+        let mut objects: Vec<ObjectDump> = Vec::with_capacity(guards.iter().map(|g| g.len()).sum());
+        for shard in &guards {
+            for (id, obj) in shard.iter() {
                 let image = match &obj.kind {
                     ObjKind::Atomic(v) => ObjectImage::Atomic(v.clone()),
                     ObjKind::Tuple(t) => {
@@ -293,8 +294,10 @@ impl MemoryStore {
                 });
             }
         }
+        let next_id = self.next_id.load(Ordering::Relaxed);
+        drop(guards);
         objects.sort_by_key(|o| o.id);
-        StoreDump { objects, next_id: snap.next_id.load(Ordering::Relaxed) }
+        StoreDump { objects, next_id }
     }
 
     /// Replace the entire store contents with a checkpoint dump: every

@@ -1005,6 +1005,11 @@ pub struct FleetParams {
     pub n_items: usize,
     /// Orders per item.
     pub orders_per_item: usize,
+    /// Checkpoint both logs of every live shard after every this many
+    /// submitted transactions (0: only the shards' own byte cadence,
+    /// which a run this small never reaches). Retirement then races the
+    /// kills and crash windows.
+    pub checkpoint_every: usize,
 }
 
 impl Default for FleetParams {
@@ -1020,6 +1025,7 @@ impl Default for FleetParams {
             mix: MixWeights::default(),
             n_items: 6,
             orders_per_item: 3,
+            checkpoint_every: 0,
         }
     }
 }
@@ -1054,6 +1060,12 @@ pub struct FleetReport {
     /// First state-audit failure, if any: a shard's recovered slice did
     /// not equal the serial replay of the committed prefix.
     pub audit_failure: Option<String>,
+    /// Largest footprint of one live shard's logs (main plus participant,
+    /// segments plus checkpoint images) seen after any transaction.
+    pub peak_retained_bytes: usize,
+    /// Shard checkpoints the [`FleetParams::checkpoint_every`] cadence took
+    /// (a dead shard's refusal not counted).
+    pub forced_checkpoints: usize,
 }
 
 impl FleetReport {
@@ -1107,6 +1119,8 @@ pub fn run_fleet_crash_recover(params: &FleetParams) -> FleetReport {
     let mut specs: BTreeMap<u64, semcc_orderentry::TxnSpec> = BTreeMap::new();
     let mut acked_ok = 0usize;
     let mut failed = 0usize;
+    let mut peak_retained_bytes = 0usize;
+    let mut forced_checkpoints = 0usize;
     for (i, spec) in batch.iter().enumerate() {
         for (at, v) in &kills {
             if *at == i {
@@ -1123,6 +1137,15 @@ pub fn run_fleet_crash_recover(params: &FleetParams) -> FleetReport {
         match out {
             Ok(_) => acked_ok += 1,
             Err(_) => failed += 1,
+        }
+        for shard in coord.shards() {
+            peak_retained_bytes = peak_retained_bytes.max(shard.retained_bytes().unwrap_or(0));
+        }
+        if params.checkpoint_every > 0 && (i + 1) % params.checkpoint_every == 0 {
+            for shard in coord.shards() {
+                // A dead shard refuses; it checkpoints again after recovery.
+                forced_checkpoints += usize::from(shard.checkpoint().is_ok());
+            }
         }
     }
 
@@ -1268,6 +1291,8 @@ pub fn run_fleet_crash_recover(params: &FleetParams) -> FleetReport {
         lost_acked,
         residue_violations,
         audit_failure,
+        peak_retained_bytes,
+        forced_checkpoints,
     }
 }
 
